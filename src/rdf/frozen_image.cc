@@ -1,11 +1,13 @@
 #include "rdf/frozen_image.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <numeric>
 
 #include "rdf/dense_graph.h"
+#include "util/parallel_for.h"
 
 namespace rdfsum {
 
@@ -36,6 +38,34 @@ void AppendPod(std::string* out, const void* p, size_t n) {
   out->append(static_cast<const char*>(p), n);
 }
 
+/// ImageFnv1a64 of every range, computed concurrently on the shared pool.
+/// Workers claim ranges largest first, so the longest hash starts at once
+/// and the small ones fill in around it. The result is indexed like
+/// `ranges`, whatever order the hashes finish in.
+std::vector<uint64_t> Checksums(
+    const std::vector<std::span<const char>>& ranges) {
+  std::vector<uint64_t> sums(ranges.size());
+  uint64_t total = 0;
+  for (std::span<const char> r : ranges) total += r.size();
+  std::vector<size_t> order(ranges.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return ranges[a].size() > ranges[b].size();
+  });
+  const uint32_t threads = total < kImageParallelChecksumBytes
+                               ? 1
+                               : util::ResolveThreadCount(0, ranges.size());
+  std::atomic<size_t> next{0};
+  util::ParallelFor(threads, [&](uint32_t) {
+    for (size_t k = next.fetch_add(1, std::memory_order_relaxed);
+         k < order.size(); k = next.fetch_add(1, std::memory_order_relaxed)) {
+      const std::span<const char> r = ranges[order[k]];
+      sums[order[k]] = ImageFnv1a64(r.data(), r.size());
+    }
+  });
+  return sums;
+}
+
 }  // namespace
 
 // ---- ImageBuilder -----------------------------------------------------------
@@ -54,6 +84,11 @@ Status ImageBuilder::WriteFile(const std::string& path, uint32_t flags) const {
     return sections_[a].first < sections_[b].first;
   });
 
+  std::vector<std::span<const char>> payloads;
+  payloads.reserve(order.size());
+  for (size_t idx : order) payloads.emplace_back(sections_[idx].second);
+  const std::vector<uint64_t> sums = Checksums(payloads);
+
   // Canonical layout: each payload starts at ImageAlignUp of the previous
   // end (the first at ImageAlignUp of the table end), and the file ends
   // exactly at the last payload's end. Attach() enforces the same equalities,
@@ -63,48 +98,47 @@ Status ImageBuilder::WriteFile(const std::string& path, uint32_t flags) const {
   std::vector<SectionDesc> descs;
   descs.reserve(sections_.size());
   uint64_t end = table_end;
-  for (size_t idx : order) {
-    const auto& [id, bytes] = sections_[idx];
+  for (size_t i = 0; i < order.size(); ++i) {
     SectionDesc d{};
-    d.id = id;
+    d.id = sections_[order[i]].first;
     d.offset = ImageAlignUp(end);
-    d.size = bytes.size();
-    d.checksum = ImageFnv1a64(bytes.data(), bytes.size());
+    d.size = payloads[i].size();
+    d.checksum = sums[i];
     end = d.offset + d.size;
     descs.push_back(d);
   }
-  const uint64_t file_size = end;
 
   ImageHeader header{};
   std::memcpy(header.magic, kImageMagic, sizeof(kImageMagic));
   header.version_major = kImageVersionMajor;
   header.version_minor = kImageVersionMinor;
-  header.file_size = file_size;
+  header.file_size = end;
   header.section_count = static_cast<uint32_t>(sections_.size());
   header.flags = flags;
   header.table_checksum =
       ImageFnv1a64(descs.data(), descs.size() * sizeof(SectionDesc));
   header.header_checksum = ImageFnv1a64(&header, 40);
 
-  std::string buf;
-  buf.reserve(file_size);
-  AppendPod(&buf, &header, sizeof(header));
-  AppendPod(&buf, descs.data(), descs.size() * sizeof(SectionDesc));
-  for (size_t i = 0; i < order.size(); ++i) {
-    buf.resize(descs[i].offset, '\0');  // zero padding up to the payload
-    buf += sections_[order[i]].second;
-  }
-  buf.resize(file_size, '\0');
-
+  // Stream straight to the file — header, table, then each payload behind
+  // its zero padding — so no image-sized buffer is ever assembled.
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     return Status::IOError("cannot open " + path + " for writing");
   }
-  const size_t written = std::fwrite(buf.data(), 1, buf.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  if (written != buf.size() || !closed) {
-    return Status::IOError("short write to " + path);
+  static constexpr char kZeros[kImageAlignment] = {};
+  bool ok = std::fwrite(&header, sizeof(header), 1, f) == 1 &&
+            std::fwrite(descs.data(), sizeof(SectionDesc), descs.size(), f) ==
+                descs.size();
+  uint64_t pos = table_end;
+  for (size_t i = 0; ok && i < order.size(); ++i) {
+    const size_t pad = descs[i].offset - pos;
+    ok = std::fwrite(kZeros, 1, pad, f) == pad &&
+         std::fwrite(payloads[i].data(), 1, payloads[i].size(), f) ==
+             payloads[i].size();
+    pos = descs[i].offset + descs[i].size;
   }
+  const bool closed = std::fclose(f) == 0;
+  if (!ok || !closed) return Status::IOError("short write to " + path);
   return Status::OK();
 }
 
@@ -536,9 +570,18 @@ StatusOr<FrozenImage> FrozenImage::Attach(const char* data, size_t size,
   }
 
   if (options.verify_checksums) {
+    // Every section is hashed (concurrently), then compared in table order,
+    // so a multi-section corruption always names the lowest bad id.
+    std::vector<std::span<const char>> payloads;
+    payloads.reserve(img.descs_.size());
     for (const SectionDesc& d : img.descs_) {
-      if (ImageFnv1a64(data + d.offset, d.size) != d.checksum) {
-        return Corrupt("checksum mismatch in section " + std::to_string(d.id));
+      payloads.emplace_back(data + d.offset, static_cast<size_t>(d.size));
+    }
+    const std::vector<uint64_t> sums = Checksums(payloads);
+    for (size_t i = 0; i < img.descs_.size(); ++i) {
+      if (sums[i] != img.descs_[i].checksum) {
+        return Corrupt("checksum mismatch in section " +
+                       std::to_string(img.descs_[i].id));
       }
     }
   }

@@ -169,6 +169,11 @@ inline uint64_t ImageFnv1a64(const void* data, size_t size,
   return h;
 }
 
+/// Images whose payloads total fewer bytes than this are checksummed on
+/// the calling thread (a pool round trip costs more than hashing them);
+/// larger ones hash their sections concurrently on the shared pool.
+inline constexpr uint64_t kImageParallelChecksumBytes = uint64_t{1} << 20;
+
 inline constexpr uint64_t ImageAlignUp(uint64_t n) {
   return (n + kImageAlignment - 1) & ~(kImageAlignment - 1);
 }

@@ -1,10 +1,59 @@
 #include "rdf/graph.h"
 
+#include <algorithm>
+#include <bit>
 #include <unordered_set>
+#include <utility>
 
 #include "rdf/dense_graph.h"
 
 namespace rdfsum {
+
+bool Graph::TripleSet::Insert(const Triple& t) {
+  if (IsEmptySlot(t)) {
+    if (has_zero_) return false;
+    has_zero_ = true;
+    ++size_;
+    return true;
+  }
+  const size_t stored = size_ - (has_zero_ ? 1 : 0);
+  if (slots_.empty()) Rehash(16);
+  size_t i = Find(t);
+  if (!IsEmptySlot(slots_[i])) return false;
+  if ((stored + 1) * 2 > slots_.size()) {
+    Rehash(slots_.size() * 2);
+    i = Find(t);
+  }
+  slots_[i] = t;
+  ++size_;
+  return true;
+}
+
+bool Graph::TripleSet::Contains(const Triple& t) const {
+  if (IsEmptySlot(t)) return has_zero_;
+  if (slots_.empty()) return false;
+  return !IsEmptySlot(slots_[Find(t)]);
+}
+
+size_t Graph::TripleSet::Find(const Triple& t) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = TripleHash{}(t) & mask;
+  while (!IsEmptySlot(slots_[i]) && !(slots_[i] == t)) i = (i + 1) & mask;
+  return i;
+}
+
+void Graph::TripleSet::Reserve(size_t num_triples) {
+  const size_t want = std::bit_ceil(std::max<size_t>(num_triples * 2, 16));
+  if (want > slots_.size()) Rehash(want);
+}
+
+void Graph::TripleSet::Rehash(size_t num_slots) {
+  std::vector<Triple> old =
+      std::exchange(slots_, std::vector<Triple>(num_slots));
+  for (const Triple& t : old) {
+    if (!IsEmptySlot(t)) slots_[Find(t)] = t;
+  }
+}
 
 Graph::Graph() : dict_(std::make_shared<Dictionary>()), vocab_(*dict_) {}
 
@@ -12,7 +61,7 @@ Graph::Graph(std::shared_ptr<Dictionary> dict)
     : dict_(std::move(dict)), vocab_(*dict_) {}
 
 bool Graph::Add(const Triple& t) {
-  if (!all_.insert(t).second) return false;
+  if (!all_.Insert(t)) return false;
   if (vocab_.IsType(t.p)) {
     types_.push_back(t);
   } else if (vocab_.IsSchemaProperty(t.p)) {
@@ -38,13 +87,8 @@ void Graph::AddAll(const Graph& other) {
 }
 
 void Graph::Reserve(size_t num_triples) {
-  // Monotonic: unordered_set::reserve may rehash *down* to fit a smaller
-  // request, which would throw away an earlier, larger reservation (e.g. a
-  // bulk pre-reserve followed by a small ParseString).
-  const size_t capacity =
-      static_cast<size_t>(static_cast<double>(all_.bucket_count()) *
-                          all_.max_load_factor());
-  if (num_triples > capacity) all_.reserve(num_triples);
+  // Monotonic, so a bulk pre-reserve survives a later small ParseString.
+  all_.Reserve(num_triples);
 }
 
 const DenseGraph& Graph::Dense() const {

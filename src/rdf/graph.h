@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "rdf/dictionary.h"
@@ -59,7 +58,11 @@ class Graph {
   /// Add loops to avoid rehashing on the hot path.
   void Reserve(size_t num_triples);
 
-  bool Contains(const Triple& t) const { return all_.count(t) > 0; }
+  bool Contains(const Triple& t) const { return all_.Contains(t); }
+
+  /// Number of distinct triples the graph holds before its triple set next
+  /// rehashes; never decreases.
+  size_t ReservedTriples() const { return all_.capacity(); }
 
   /// Data component D_G.
   const std::vector<Triple>& data() const { return data_; }
@@ -108,12 +111,48 @@ class Graph {
   }
 
  private:
+  /// Flat open-addressing set of triples: linear probing over a power-of-two
+  /// slot array kept at most half full, so one triple costs 24–48 bytes and
+  /// an insert allocates nothing except when the array doubles. The all-zero
+  /// triple marks an empty slot; whether {0,0,0} itself is a member is a
+  /// separate flag, so membership is exact for every input. Copying the set
+  /// copies one vector.
+  class TripleSet {
+   public:
+    /// Inserts `t`; returns true iff it was not already present.
+    bool Insert(const Triple& t);
+    bool Contains(const Triple& t) const;
+
+    /// Grows the slot array so `num_triples` members fit without a rehash.
+    /// Monotonic: a smaller request than the current capacity is a no-op.
+    void Reserve(size_t num_triples);
+
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    /// Number of members the set holds before its next rehash.
+    size_t capacity() const { return slots_.size() / 2; }
+
+   private:
+    static bool IsEmptySlot(const Triple& t) {
+      return t.s == kInvalidTermId && t.p == kInvalidTermId &&
+             t.o == kInvalidTermId;
+    }
+    /// Index of `t`'s slot, or of the empty slot that ends its probe run.
+    /// Requires a non-empty slot array and `t` not all-zero.
+    size_t Find(const Triple& t) const;
+    void Rehash(size_t num_slots);
+
+    std::vector<Triple> slots_;
+    size_t size_ = 0;        // members, the all-zero triple included
+    bool has_zero_ = false;  // {0,0,0} is a member (it cannot sit in a slot)
+  };
+
   std::shared_ptr<Dictionary> dict_;
   Vocabulary vocab_;
   std::vector<Triple> data_;
   std::vector<Triple> types_;
   std::vector<Triple> schema_;
-  std::unordered_set<Triple, TripleHash> all_;
+  TripleSet all_;
 
   // Lazily built substrate; shared so copies reuse it until they mutate.
   mutable std::shared_ptr<const DenseGraph> dense_;

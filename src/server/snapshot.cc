@@ -1,6 +1,7 @@
 #include "server/snapshot.h"
 
 #include <utility>
+#include <vector>
 
 #include "util/timer.h"
 
@@ -25,8 +26,20 @@ Graph Snapshot::ReinternedGraph() const {
   g.dict().Reserve(serving.size());
   auto spo = store_->table().Permutation(store::IndexKind::kSpo);
   g.Reserve(spo.size());
+  // fresh_of[serving id] = fresh id, filled on first sight. Interning in
+  // the same s, p, o first-occurrence order as decoding every term assigns
+  // the same fresh ids, with one Decode + Encode per distinct term.
+  std::vector<TermId> fresh_of(serving.size(), kInvalidTermId);
+  auto fresh = [&](TermId id) {
+    TermId& slot = fresh_of[id];
+    if (slot == kInvalidTermId) slot = g.dict().Encode(serving.Decode(id));
+    return slot;
+  };
   for (const Triple& t : spo) {
-    g.AddTerms(serving.Decode(t.s), serving.Decode(t.p), serving.Decode(t.o));
+    const TermId s = fresh(t.s);
+    const TermId p = fresh(t.p);
+    const TermId o = fresh(t.o);
+    g.Add(Triple{s, p, o});
   }
   return g;
 }

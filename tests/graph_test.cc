@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+
 #include "gen/paper_example.h"
 #include "rdf/graph.h"
 #include "rdf/graph_stats.h"
@@ -139,6 +142,88 @@ TEST(GraphStatsTest, ToStringMentionsCounts) {
 }
 
 // ---------------------------------------------------------------- well-behaved
+
+TEST(GraphTest, AllZeroTripleIsAnOrdinaryMember) {
+  // {0,0,0} marks an empty slot inside the flat triple set; membership of
+  // the triple itself is tracked apart, so Add/Contains stay exact for it.
+  Graph g;
+  const Triple zero{0, 0, 0};
+  EXPECT_FALSE(g.Contains(zero));
+  EXPECT_TRUE(g.Add(zero));
+  EXPECT_TRUE(g.Contains(zero));
+  EXPECT_FALSE(g.Add(zero));
+  EXPECT_EQ(g.NumTriples(), 1u);
+  EXPECT_FALSE(g.Empty());
+  // Triples with some zero ids are stored in slots like any other.
+  EXPECT_TRUE(g.Add({0, 0, 1}));
+  EXPECT_TRUE(g.Add({1, 0, 0}));
+  EXPECT_FALSE(g.Add({0, 0, 1}));
+  EXPECT_EQ(g.NumTriples(), 3u);
+  EXPECT_TRUE(g.Contains(zero));
+  EXPECT_FALSE(g.Contains({0, 1, 0}));
+}
+
+TEST(GraphTest, RandomInsertsMatchAnOrderedSetOracle) {
+  // Small id ranges force many duplicates; 20k distinct-ish inserts from an
+  // empty set force every doubling from 16 slots up.
+  Graph g;
+  std::set<Triple> oracle;
+  uint64_t state = 0x243f6a8885a308d3ULL;
+  auto next = [&state](uint32_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<TermId>((state >> 33) % bound);
+  };
+  for (int i = 0; i < 40000; ++i) {
+    const Triple t{next(64), next(8), next(64)};
+    ASSERT_EQ(g.Add(t), oracle.insert(t).second) << "insert " << i;
+    ASSERT_EQ(g.NumTriples(), oracle.size());
+    const Triple probe{next(64), next(8), next(64)};
+    ASSERT_EQ(g.Contains(probe), oracle.count(probe) > 0) << "probe " << i;
+  }
+  for (const Triple& t : oracle) ASSERT_TRUE(g.Contains(t));
+  EXPECT_EQ(g.data().size() + g.types().size() + g.schema().size(),
+            oracle.size());
+}
+
+TEST(GraphTest, ReserveNeverShrinks) {
+  Graph g;
+  g.Reserve(10000);
+  const size_t reserved = g.ReservedTriples();
+  EXPECT_GE(reserved, 10000u);
+  g.Reserve(10);
+  EXPECT_EQ(g.ReservedTriples(), reserved);
+  for (TermId i = 1; i <= 5000; ++i) g.Add({i, 1, 1});
+  g.Reserve(0);
+  EXPECT_EQ(g.ReservedTriples(), reserved);
+  g.Reserve(reserved + 1);
+  EXPECT_GT(g.ReservedTriples(), reserved);
+  for (TermId i = 1; i <= 5000; ++i) EXPECT_TRUE(g.Contains({i, 1, 1}));
+}
+
+TEST(GraphTest, CopiesAndClonesAreIndependent) {
+  Graph g;
+  TermId s = g.dict().EncodeIri("s"), p = g.dict().EncodeIri("p"),
+         o = g.dict().EncodeIri("o"), o2 = g.dict().EncodeIri("o2");
+  g.Add({s, p, o});
+  g.Add({0, 0, 0});
+
+  Graph copy = g;
+  Graph clone = g.Clone();
+  EXPECT_TRUE(copy.Add({s, p, o2}));
+  EXPECT_FALSE(g.Contains({s, p, o2}));
+  EXPECT_FALSE(clone.Contains({s, p, o2}));
+  EXPECT_TRUE(clone.Add({o, p, s}));
+  EXPECT_FALSE(g.Contains({o, p, s}));
+  EXPECT_FALSE(copy.Contains({o, p, s}));
+  for (const Graph* x : {&g, &copy, &clone}) {
+    EXPECT_TRUE(x->Contains({s, p, o}));
+    EXPECT_TRUE(x->Contains({0, 0, 0}));
+  }
+  EXPECT_EQ(g.NumTriples(), 2u);
+  EXPECT_EQ(copy.NumTriples(), 3u);
+  EXPECT_EQ(clone.NumTriples(), 3u);
+  EXPECT_EQ(&clone.dict(), &g.dict());  // the dictionary stays shared
+}
 
 TEST(WellBehavedTest, AcceptsCleanGraphs) {
   gen::Figure2Example ex = gen::BuildFigure2();

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "gen/bsbm.h"
 #include "gen/paper_example.h"
 #include "rdf/frozen_image.h"
 #include "store/mmap_store.h"
@@ -144,6 +145,36 @@ TEST(ImageCorruptionTest, EveryBitFlipIsDetected) {
     ASSERT_FALSE(st.ok()) << "accepted a bit flip at byte " << i;
     ASSERT_TRUE(st.IsCorruption() || st.IsNotSupported())
         << "byte " << i << ": " << st.ToString();
+  }
+}
+
+TEST(ImageCorruptionTest, TwoBadSectionsReportTheLowerId) {
+  // Checksums are computed concurrently, largest section first; the report
+  // must still name the first bad section in table order, on every run.
+  gen::BsbmOptions opt;
+  opt.num_products = 1000;
+  const std::string path = TempPath("image_corruption_two_bad.rsb");
+  ASSERT_TRUE(store::FreezeGraphToFile(gen::GenerateBsbm(opt), path).ok());
+  const std::string bytes = FileBytes(path);
+  ASSERT_GE(bytes.size(), kImageParallelChecksumBytes)
+      << "image too small to take the concurrent checksum path";
+  size_t arena_off = 0, arena_size = 0, spo_off = 0, spo_size = 0;
+  ASSERT_TRUE(
+      FindSection(bytes, SectionId::kTermArena, &arena_off, &arena_size));
+  ASSERT_TRUE(FindSection(bytes, SectionId::kSpo, &spo_off, &spo_size));
+  ASSERT_LT(static_cast<uint32_t>(SectionId::kTermArena),
+            static_cast<uint32_t>(SectionId::kSpo));
+  std::string mutated = bytes;
+  mutated[arena_off] = static_cast<char>(mutated[arena_off] ^ 0x01);
+  mutated[spo_off] = static_cast<char>(mutated[spo_off] ^ 0x01);
+  const std::string want =
+      "checksum mismatch in section " +
+      std::to_string(static_cast<uint32_t>(SectionId::kTermArena));
+  for (int run = 0; run < 50; ++run) {
+    Status st = AttachStatus(mutated);
+    ASSERT_TRUE(st.IsCorruption()) << st.ToString();
+    ASSERT_NE(st.ToString().find(want), std::string::npos)
+        << "run " << run << ": " << st.ToString();
   }
 }
 

@@ -530,7 +530,8 @@ int CmdQuery(const std::vector<std::string>& args, util::ExecContext* exec,
         prune ? pruned->Explain(*q) : direct->Explain(*q);
     if (!ex.ok()) return FailStatus(ex.status());
     std::cout << ex->ToString();
-    std::cout << "-- explained in " << timer.ElapsedMillis() << " ms\n";
+    std::cout << "-- explained in " << timer.ElapsedSeconds() * 1e3
+              << " ms\n";
     if (prune) {
       const auto& stats = pruned->stats();
       std::cout << "pruning stats: " << stats.exists_checks << " check(s), "
